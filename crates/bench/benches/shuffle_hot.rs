@@ -1,5 +1,6 @@
 //! Shuffle data-plane hot-path benchmarks: the map-side combine+encode
-//! and reduce-side decode+merge loops this repo's fast path targets, plus
+//! and reduce-side decode+merge loops this repo's fast path targets, the
+//! byte-array codec kernels CloudSort's payloads run through, plus
 //! end-to-end wall time of the four paper workloads whose stages are
 //! dominated by those loops. Run with `cargo bench --bench shuffle_hot`;
 //! one JSON line per benchmark (see `scripts/bench.sh`).
@@ -8,7 +9,7 @@ use std::cell::RefCell;
 use std::rc::Rc;
 use std::sync::Arc;
 
-use splitserve_bench::timing::{bench, black_box};
+use splitserve_bench::timing::{bench, bench_per_byte, black_box};
 use splitserve_des::{Fabric, Sim};
 use splitserve_engine::{
     collect_partitions, input_shuffles, Dataset, Engine, EngineConfig, ExecutorDesc, TaskContext,
@@ -72,6 +73,52 @@ fn bench_reduce_merge() {
         let mut ctx = TaskContext::new(WorkModel::default(), inputs);
         black_box(node.compute(&mut ctx, 0));
     });
+}
+
+/// CloudSort's record shape through the codec alone: 4k `(u64 key,
+/// 90-byte payload)` records encoded back to back into one block, then
+/// stream-decoded. Reported per payload byte, the unit the `Vec<u8>`
+/// kernels work in.
+fn bench_bytes_codec() {
+    const RECORDS: usize = 4096;
+    const PAYLOAD: usize = 90;
+    let mut rng = splitserve_rt::Rng::seed_from_u64(90);
+    let records: Vec<(u64, Vec<u8>)> = (0..RECORDS)
+        .map(|_| {
+            let mut payload = vec![0u8; PAYLOAD];
+            rng.fill(&mut payload);
+            (rng.gen(), payload)
+        })
+        .collect();
+    // Sub-millisecond loops: more samples for a steady median.
+    const CODEC_SAMPLES: usize = 21;
+    let payload_bytes = (RECORDS * PAYLOAD) as u64;
+    let mut block = Vec::new();
+    bench_per_byte(
+        "shuffle/bytes_codec_cloudsort/encode",
+        CODEC_SAMPLES,
+        payload_bytes,
+        || {
+            block.clear();
+            for r in &records {
+                splitserve_codec::to_writer(&mut block, r).expect("encode");
+            }
+            black_box(block.len());
+        },
+    );
+    bench_per_byte(
+        "shuffle/bytes_codec_cloudsort/decode",
+        CODEC_SAMPLES,
+        payload_bytes,
+        || {
+            let mut rest = block.as_slice();
+            while !rest.is_empty() {
+                let r: (u64, Vec<u8>) =
+                    splitserve_codec::from_bytes_seq(&mut rest).expect("decode");
+                black_box(r);
+            }
+        },
+    );
 }
 
 fn rig(seed: u64, execs: usize) -> (Sim, Engine) {
@@ -167,6 +214,7 @@ fn main() {
     bench_map_combine();
     bench_map_encode_only();
     bench_reduce_merge();
+    bench_bytes_codec();
     bench_workloads();
     bench_parallel_pagerank();
 }

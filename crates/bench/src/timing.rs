@@ -15,7 +15,24 @@ use std::time::Instant;
 /// Runs `f` once as warmup, then `samples` timed times, and prints the
 /// median/min/max walltime as a JSON line. Returns the median in
 /// nanoseconds so callers can do coarse regression checks.
-pub fn bench<F: FnMut()>(name: &str, samples: usize, mut f: F) -> u128 {
+pub fn bench<F: FnMut()>(name: &str, samples: usize, f: F) -> u128 {
+    report(name, &time_samples(samples, f), "")
+}
+
+/// Like [`bench`] for a loop over `bytes` bytes of payload: the record
+/// also carries `ns_per_byte`, the median divided by `bytes`.
+pub fn bench_per_byte<F: FnMut()>(name: &str, samples: usize, bytes: u64, f: F) -> u128 {
+    let times_ns = time_samples(samples, f);
+    let ns_per_byte = times_ns[times_ns.len() / 2] as f64 / bytes.max(1) as f64;
+    report(
+        name,
+        &times_ns,
+        &format!(",\"ns_per_byte\":{ns_per_byte:.3}"),
+    )
+}
+
+/// One warmup run, then `samples` timed runs of `f`, sorted.
+fn time_samples<F: FnMut()>(samples: usize, mut f: F) -> Vec<u128> {
     assert!(samples > 0, "need at least one sample");
     f(); // warmup: fault in lazily-initialized state
     let mut times_ns: Vec<u128> = (0..samples)
@@ -26,14 +43,21 @@ pub fn bench<F: FnMut()>(name: &str, samples: usize, mut f: F) -> u128 {
         })
         .collect();
     times_ns.sort_unstable();
+    times_ns
+}
+
+/// Prints the JSON record for sorted `times_ns`, with `extra` (already
+/// formatted `,"key":value` pairs) appended, and returns the median.
+fn report(name: &str, times_ns: &[u128], extra: &str) -> u128 {
     let median = times_ns[times_ns.len() / 2];
     println!(
-        "{{\"bench\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}}}",
+        "{{\"bench\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}{}}}",
         name,
         median,
         times_ns[0],
         times_ns[times_ns.len() - 1],
-        samples
+        times_ns.len(),
+        extra
     );
     median
 }
@@ -56,16 +80,7 @@ where
         })
         .collect();
     times_ns.sort_unstable();
-    let median = times_ns[times_ns.len() / 2];
-    println!(
-        "{{\"bench\":\"{}\",\"median_ns\":{},\"min_ns\":{},\"max_ns\":{},\"samples\":{}}}",
-        name,
-        median,
-        times_ns[0],
-        times_ns[times_ns.len() - 1],
-        samples
-    );
-    median
+    report(name, &times_ns, "")
 }
 
 /// Defeats dead-code elimination of a benchmark's result without unsafe
@@ -101,6 +116,14 @@ mod tests {
             },
         );
         assert_eq!(setups, 4, "warmup + 3 samples");
+    }
+
+    #[test]
+    fn bench_per_byte_runs_warmup_and_samples() {
+        let mut n = 0u64;
+        let median = bench_per_byte("test/bytes", 3, 1_000, || n += 1);
+        assert_eq!(n, 4, "warmup + 3 samples");
+        assert!(median < 1_000_000_000, "a no-op takes under a second");
     }
 
     #[test]

@@ -18,6 +18,19 @@ pub trait Decode: Sized {
     /// Returns an error on truncated or malformed input. Implementations
     /// must never panic on arbitrary bytes.
     fn decode(input: &mut &[u8]) -> Result<Self>;
+
+    /// Decodes `len` values back to back — the element loop of
+    /// `Vec<T>`, a hook so an element type can supply a bulk kernel. Must
+    /// return exactly what decoding one value at a time would (values or
+    /// error) and leave `input` at the same position.
+    #[doc(hidden)]
+    fn decode_vec(input: &mut &[u8], len: usize) -> Result<Vec<Self>> {
+        let mut out = Vec::with_capacity(len.min(4096));
+        for _ in 0..len {
+            out.push(Self::decode(input)?);
+        }
+        Ok(out)
+    }
 }
 
 /// Deserializes a value of type `T` from `bytes`, requiring the whole input
@@ -98,7 +111,54 @@ macro_rules! decode_unsigned {
         }
     )*};
 }
-decode_unsigned!(u8, u16, u32, u64, usize);
+decode_unsigned!(u16, u32, u64, usize);
+
+impl Decode for u8 {
+    fn decode(input: &mut &[u8]) -> Result<u8> {
+        let v = varint::read_u64(input)?;
+        u8::try_from(v).map_err(|_| Error::Message(format!("integer {v} out of range")))
+    }
+
+    /// Bulk byte-array decode. The per-element decoder accepts a byte
+    /// below `0x80` as itself and `b, hi` with `b >= 0x80, hi <= 1` as
+    /// `(b & 0x7f) | hi << 7` (`hi == 0` is the non-canonical form). The
+    /// fast loop decodes every element as if it had one of those forms,
+    /// without branching on the bytes, and records whether any did not.
+    /// If one did — an overlong form, a value above 255 — the whole
+    /// vector is decoded again per element from the start; the last byte
+    /// and any truncation always go per element. Values, errors and the
+    /// remaining input therefore match the per-element path exactly.
+    fn decode_vec(input: &mut &[u8], len: usize) -> Result<Vec<u8>> {
+        let src = *input;
+        // Every element takes at least one byte, so valid input never
+        // needs more capacity than this.
+        let mut out = vec![0u8; len.min(src.len())];
+        let (mut i, mut n) = (0, 0);
+        let mut bad = 0u8;
+        // With two bytes left, either form of the next element is in
+        // bounds.
+        for slot in out.iter_mut() {
+            let (Some(&b), Some(&hi)) = (src.get(i), src.get(i + 1)) else {
+                break;
+            };
+            let high = b >> 7;
+            bad |= high & u8::from(hi > 1);
+            *slot = b & 0x7f | (hi & high.wrapping_neg()) << 7;
+            i += 1 + usize::from(high);
+            n += 1;
+        }
+        out.truncate(n);
+        if bad == 0 {
+            *input = &src[i..];
+        } else {
+            out.clear();
+        }
+        while out.len() < len {
+            out.push(u8::decode(input)?);
+        }
+        Ok(out)
+    }
+}
 
 macro_rules! decode_signed {
     ($($ty:ty),*) => {$(
@@ -168,11 +228,7 @@ impl<T: Decode> Decode for Option<T> {
 impl<T: Decode> Decode for Vec<T> {
     fn decode(input: &mut &[u8]) -> Result<Vec<T>> {
         let len = read_len(input)?;
-        let mut out = Vec::with_capacity(len.min(4096));
-        for _ in 0..len {
-            out.push(T::decode(input)?);
-        }
-        Ok(out)
+        T::decode_vec(input, len)
     }
 }
 

@@ -34,6 +34,30 @@ pub trait Encode {
         splitserve_rt::pool::give(scratch);
         n
     }
+
+    /// Appends the encodings of `items` back to back — the element loop
+    /// of `[T]` and `Vec<T>`, a hook so an element type can supply a
+    /// bulk kernel. Must append exactly what encoding each item in turn
+    /// would.
+    #[doc(hidden)]
+    fn encode_slice(items: &[Self], out: &mut Vec<u8>)
+    where
+        Self: Sized,
+    {
+        for item in items {
+            item.encode(out);
+        }
+    }
+
+    /// The exact number of bytes [`encode_slice`](Encode::encode_slice)
+    /// appends for `items`.
+    #[doc(hidden)]
+    fn encoded_len_slice(items: &[Self]) -> usize
+    where
+        Self: Sized,
+    {
+        items.iter().map(Encode::encoded_len).sum()
+    }
 }
 
 /// Serializes `value` into a fresh byte vector.
@@ -90,7 +114,43 @@ macro_rules! encode_unsigned {
         }
     )*};
 }
-encode_unsigned!(u8, u16, u32, u64, usize);
+encode_unsigned!(u16, u32, u64, usize);
+
+/// A `u8` varint is the byte itself, followed by `0x01` when its high bit
+/// is set, so byte arrays (CloudSort payloads, TPC-DS padding) size with
+/// a count and encode in one branchless pass.
+impl Encode for u8 {
+    fn encode(&self, out: &mut Vec<u8>) {
+        varint::write_u64(out, u64::from(*self));
+    }
+    fn encoded_len(&self) -> usize {
+        1 + usize::from(*self >> 7)
+    }
+    fn encode_slice(items: &[u8], out: &mut Vec<u8>) {
+        let Some((&last, body)) = items.split_last() else {
+            return;
+        };
+        let start = out.len();
+        out.resize(start + Self::encoded_len_slice(items), 0);
+        let dst = &mut out[start..];
+        let mut j = 0;
+        for &b in body {
+            // The continuation byte is always written and kept only when
+            // the high bit advances past it; a later element overwrites
+            // it otherwise. `j + 1` stays in bounds: `last` follows.
+            dst[j] = b;
+            dst[j + 1] = 1;
+            j += 1 + usize::from(b >> 7);
+        }
+        dst[j] = last;
+        if last >= 0x80 {
+            dst[j + 1] = 1;
+        }
+    }
+    fn encoded_len_slice(items: &[u8]) -> usize {
+        items.len() + items.iter().map(|&b| usize::from(b >> 7)).sum::<usize>()
+    }
+}
 
 macro_rules! encode_signed {
     ($($ty:ty),*) => {$(
@@ -193,13 +253,10 @@ impl<T: Encode> Encode for Option<T> {
 impl<T: Encode> Encode for [T] {
     fn encode(&self, out: &mut Vec<u8>) {
         varint::write_u64(out, self.len() as u64);
-        for item in self {
-            item.encode(out);
-        }
+        T::encode_slice(self, out);
     }
     fn encoded_len(&self) -> usize {
-        varint::len_u64(self.len() as u64)
-            + self.iter().map(Encode::encoded_len).sum::<usize>()
+        varint::len_u64(self.len() as u64) + T::encoded_len_slice(self)
     }
 }
 

@@ -4,15 +4,20 @@ use crate::error::{Error, Result};
 
 /// Appends `v` to `out` as an LEB128 varint (1–10 bytes).
 pub fn write_u64(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(byte);
-            return;
-        }
-        out.push(byte | 0x80);
+    if v < 0x80 {
+        out.push(v as u8);
+        return;
     }
+    // Assemble on the stack and append once, not one push per byte.
+    let mut buf = [0u8; 10];
+    let mut n = 0;
+    while v >= 0x80 {
+        buf[n] = v as u8 | 0x80;
+        v >>= 7;
+        n += 1;
+    }
+    buf[n] = v as u8;
+    out.extend_from_slice(&buf[..=n]);
 }
 
 /// Appends `v` zigzag-encoded so small-magnitude negatives stay short.
@@ -50,6 +55,40 @@ pub fn unzigzag(v: u64) -> i64 {
 /// [`Error::UnexpectedEof`] if input ends mid-varint;
 /// [`Error::VarintOverflow`] if more than 64 bits are encoded.
 pub fn read_u64(input: &mut &[u8]) -> Result<u64> {
+    if let [b, rest @ ..] = *input {
+        if *b < 0x80 {
+            *input = rest;
+            return Ok(u64::from(*b));
+        }
+    }
+    if let Some(head) = input.first_chunk::<10>() {
+        return read_u64_unrolled(input, head);
+    }
+    read_u64_slow(input)
+}
+
+/// [`read_u64`] when at least 10 bytes remain, so no byte needs an
+/// end-of-input check: a fixed-trip loop the compiler unrolls. Advances
+/// `input` and reports errors exactly as [`read_u64_slow`] would.
+fn read_u64_unrolled(input: &mut &[u8], head: &[u8; 10]) -> Result<u64> {
+    let mut result = 0u64;
+    for (i, &byte) in head[..9].iter().enumerate() {
+        result |= u64::from(byte & 0x7f) << (7 * i);
+        if byte < 0x80 {
+            *input = &input[i + 1..];
+            return Ok(result);
+        }
+    }
+    *input = &input[10..];
+    match head[9] {
+        last @ 0..=1 => Ok(result | u64::from(last) << 63),
+        _ => Err(Error::VarintOverflow),
+    }
+}
+
+/// The byte-at-a-time reader, for varints that may run into the end of
+/// the input.
+fn read_u64_slow(input: &mut &[u8]) -> Result<u64> {
     let mut result: u64 = 0;
     let mut shift = 0u32;
     loop {
@@ -147,6 +186,54 @@ mod tests {
             write_i64(&mut buf, v);
             let mut s = buf.as_slice();
             assert_eq!(read_i64(&mut s).expect("roundtrip"), v);
+        }
+    }
+
+    #[test]
+    fn write_matches_a_byte_at_a_time_reference() {
+        fn reference(out: &mut Vec<u8>, mut v: u64) {
+            loop {
+                let byte = (v & 0x7f) as u8;
+                v >>= 7;
+                if v == 0 {
+                    out.push(byte);
+                    return;
+                }
+                out.push(byte | 0x80);
+            }
+        }
+        for bit in 0..64 {
+            for v in [
+                1u64 << bit,
+                (1u64 << bit) - 1,
+                (1u64 << bit) | 0x55,
+                u64::MAX >> bit,
+            ] {
+                let (mut got, mut want) = (vec![9], vec![9]);
+                write_u64(&mut got, v);
+                reference(&mut want, v);
+                assert_eq!(got, want, "write_u64({v:#x})");
+            }
+        }
+    }
+
+    #[test]
+    fn unrolled_and_slow_readers_agree() {
+        // Every prefix of varints padded past ten bytes, including the
+        // ten-byte maximum and an overflowing tenth byte.
+        let cases: [&[u8]; 5] = [
+            &[0x80, 0x01],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01],
+            &[0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02],
+            &[0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x00],
+            &[0xff; 11],
+        ];
+        for case in cases {
+            let mut padded = case.to_vec();
+            padded.extend_from_slice(&[0x33; 10]);
+            let (mut fast, mut slow) = (padded.as_slice(), padded.as_slice());
+            assert_eq!(read_u64(&mut fast), read_u64_slow(&mut slow), "{case:?}");
+            assert_eq!(fast, slow, "remaining after {case:?}");
         }
     }
 

@@ -503,11 +503,11 @@ where
 /// (hash buckets here; range buckets in `sort_by_key`). Shared by every
 /// non-combining map side.
 ///
-/// Deliberately a single pass: pre-sizing each bucket with `encoded_len`
-/// was measured to cost as much as the encoding itself on byte-array
-/// payloads (CloudSort), so non-combining shuffles stream straight into
-/// recycled pool buffers, which arrive pre-grown after the first task of
-/// a stage.
+/// Deliberately a single pass: even with `encoded_len` cheap for byte
+/// arrays, a sizing pass (bucket index per record, then exact buffers)
+/// measured slower on both `groupByKey` and CloudSort map tasks. The
+/// recycled pool buffers arrive pre-grown after the first task of a
+/// stage, so streaming straight into them rarely reallocates.
 pub(crate) fn encode_buckets_by<K, V>(
     ctx: &mut TaskContext,
     records: &[(K, V)],
@@ -873,6 +873,18 @@ impl<C: Send + Sync + 'static> PlanNode for ShuffledNode<C> {
 
 type JoinMarker<K, V, W> = PhantomData<fn() -> (K, V, W)>;
 
+/// Ends a [`JoinLink`] chain.
+const CHAIN_END: u32 = u32::MAX;
+
+/// One left-side value of a hash join, linked to the next value with the
+/// same key. `probes`, used on a chain's first link only, counts the
+/// matching right rows not yet emitted.
+struct JoinLink<V> {
+    value: Option<V>,
+    next: u32,
+    probes: u32,
+}
+
 struct JoinNode<K, V, W> {
     id: NodeId,
     left: Arc<ShuffleDep>,
@@ -897,19 +909,56 @@ impl<K: ShuffleKey, V: ShuffleValue, W: ShuffleValue> PlanNode for JoinNode<K, V
         let left_blocks = ctx.shuffle_input(self.left.id);
         let right_blocks = ctx.shuffle_input(self.right.id);
         // Hash join: build a table from the left stream, probe with the
-        // right stream — records never sit in an intermediate Vec.
-        let mut table: HashGroup<K, Vec<V>> = HashGroup::with_capacity(64);
+        // right stream. Each key's left values form a chain through one
+        // shared `links` Vec (the table holds the chain's first and last
+        // link), so building allocates nothing per key.
+        let mut links: Vec<JoinLink<V>> = Vec::new();
+        let mut table: HashGroup<K, (u32, u32)> = HashGroup::with_capacity(64);
         for (k, v) in decode_stream::<K, V>(left_blocks) {
             ctx.charge_combine(1);
-            table.upsert_owned(shuffle_hash(&k), k, v, |v| vec![v], |a, v| a.push(v));
+            let i = links.len() as u32;
+            links.push(JoinLink {
+                value: Some(v),
+                next: CHAIN_END,
+                probes: 0,
+            });
+            table.upsert_owned(shuffle_hash(&k), k, i, |i| (i, i), |(_, last), i| {
+                links[*last as usize].next = i;
+                *last = i;
+            });
         }
-        let mut out: Vec<(K, (V, W))> = Vec::new();
+        // Count each chain's matching right rows first, so emitting can
+        // move a value (and the right row) on its last use and clone only
+        // before it. Output order is unchanged: right rows in stream
+        // order, each paired with its key's left values in stream order.
+        let mut matches: Vec<(u32, K, W)> = Vec::new();
         for (k, w) in decode_stream::<K, W>(right_blocks) {
             ctx.charge_combine(1);
-            if let Some(vs) = table.get(shuffle_hash(&k), &k) {
-                for v in vs {
-                    out.push((k.clone(), (v.clone(), w.clone())));
+            if let Some(&(first, _)) = table.get(shuffle_hash(&k), &k) {
+                links[first as usize].probes += 1;
+                matches.push((first, k, w));
+            }
+        }
+        drop(table);
+        let mut out: Vec<(K, (V, W))> = Vec::new();
+        for (first, k, w) in matches {
+            links[first as usize].probes -= 1;
+            let last_probe = links[first as usize].probes == 0;
+            let mut i = first;
+            loop {
+                let link = &mut links[i as usize];
+                let v = if last_probe {
+                    link.value.take()
+                } else {
+                    link.value.clone()
                 }
+                .expect("a join value is moved only on its chain's last probe");
+                i = link.next;
+                if i == CHAIN_END {
+                    out.push((k, (v, w)));
+                    break;
+                }
+                out.push((k.clone(), (v, w.clone())));
             }
         }
         wrap(out)

@@ -201,3 +201,92 @@ fn same_seed_runs_produce_byte_identical_shuffle_blocks() {
         }
     });
 }
+
+/// Decodes every `(K, V)` record of `blocks` in stream order — the
+/// sequence a reduce task's operator sees.
+fn decode_blocks<K: splitserve_codec::Decode, V: splitserve_codec::Decode>(
+    blocks: &[Bytes],
+) -> Vec<(K, V)> {
+    let mut out = Vec::new();
+    for block in blocks {
+        let mut rest: &[u8] = block;
+        while !rest.is_empty() {
+            out.push(splitserve_codec::from_bytes_seq(&mut rest).expect("decode"));
+        }
+    }
+    out
+}
+
+/// The hash join must emit exactly what an in-order nested loop over the
+/// two fetched streams does — right rows in stream order, each paired
+/// with its key's left values in stream order — and charge one combine
+/// per input record on each side, in the same sequence. Keys repeat on
+/// both sides and some exist on one side only.
+#[test]
+fn join_matches_in_order_nested_loop_reference() {
+    check::run("join_matches_in_order_nested_loop_reference", 60, |g| {
+        let key_space = g.u64_in(1, 24);
+        // Left keys skip the top of the key space and right keys skip the
+        // bottom, so some keys are missing on either side.
+        let left: Vec<(u64, Vec<u64>)> = g.vec(0, 120, |g| {
+            let k = g.u64_in(0, key_space.saturating_sub(2).max(1));
+            (k, g.vec(0, 4, |g| g.u64_in(0, 1_000)))
+        });
+        let right: Vec<(u64, String)> = g.vec(0, 120, |g| {
+            let k = g.u64_in(key_space / 3, key_space + 1);
+            (k, g.lowercase(0, 6))
+        });
+        let partitions = g.usize_in(1, 4);
+        let joined = Dataset::parallelize(left, g.usize_in(1, 4))
+            .join(&Dataset::parallelize(right, g.usize_in(1, 4)), partitions);
+
+        let node = joined.node();
+        let deps = input_shuffles(&node);
+        assert_eq!(deps.len(), 2);
+        let mut fetched: Vec<Vec<Vec<Bytes>>> = Vec::new();
+        for dep in &deps {
+            let mut buckets: Vec<Vec<Bytes>> = vec![Vec::new(); dep.num_partitions];
+            for m in 0..dep.parent.num_partitions() {
+                let mut c = ctx();
+                let data = dep.parent.compute(&mut c, m);
+                for (r, b) in (dep.partitioner)(&mut c, data).into_iter().enumerate() {
+                    if !b.bytes.is_empty() {
+                        buckets[r].push(b.bytes);
+                    }
+                }
+            }
+            fetched.push(buckets);
+        }
+
+        let (left_parts, right_parts) = (&fetched[0], &fetched[1]);
+        for (part, (left_blocks, right_blocks)) in left_parts.iter().zip(right_parts).enumerate() {
+            let left_rows: Vec<(u64, Vec<u64>)> = decode_blocks(left_blocks);
+            let right_rows: Vec<(u64, String)> = decode_blocks(right_blocks);
+            let mut expect: Vec<(u64, (Vec<u64>, String))> = Vec::new();
+            for (k, w) in &right_rows {
+                for (lk, v) in &left_rows {
+                    if lk == k {
+                        expect.push((*k, (v.clone(), w.clone())));
+                    }
+                }
+            }
+
+            let mut inputs = FastMap::default();
+            inputs.insert(deps[0].id, left_blocks.clone());
+            inputs.insert(deps[1].id, right_blocks.clone());
+            let mut c = TaskContext::new(WorkModel::default(), inputs);
+            let mut expect_cpu = c.cpu_secs();
+            for _ in 0..left_rows.len() + right_rows.len() {
+                expect_cpu += WorkModel::default().combine_secs_per_record;
+            }
+            let got =
+                collect_partitions::<(u64, (Vec<u64>, String))>(vec![node.compute(&mut c, part)]);
+            assert_eq!(got, expect, "partition {part}: join output and order");
+            assert_eq!(
+                c.cpu_secs().to_bits(),
+                expect_cpu.to_bits(),
+                "partition {part}: one combine charge per input record"
+            );
+        }
+    });
+}

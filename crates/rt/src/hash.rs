@@ -139,6 +139,25 @@ impl Hasher for XxHash64 {
         self.buf_len = bytes.len();
     }
 
+    /// Integer keys (`u64`, and tuples of them) arrive here: appends the
+    /// word's native-endian bytes like `write` would, without its general
+    /// top-up/stripe/stash path when the word fits the buffer.
+    #[inline]
+    fn write_u64(&mut self, n: u64) {
+        if self.buf_len > 24 {
+            self.write(&n.to_ne_bytes());
+            return;
+        }
+        self.total_len += 8;
+        self.buf[self.buf_len..self.buf_len + 8].copy_from_slice(&n.to_ne_bytes());
+        self.buf_len += 8;
+        if self.buf_len == 32 {
+            let stripe = self.buf;
+            self.consume_stripe(&stripe);
+            self.buf_len = 0;
+        }
+    }
+
     fn finish(&self) -> u64 {
         let mut acc = if self.total_len >= 32 {
             let mut a = self
@@ -312,44 +331,67 @@ mod tests {
         }
     }
 
-    #[test]
-    fn streaming_matches_one_shot() {
-        splitserve_rt_check_split(|bytes, splits| {
-            let one_shot = xxh(SHUFFLE_HASH_SEED, bytes);
-            let mut h = XxHash64::with_seed(SHUFFLE_HASH_SEED);
-            let mut rest = bytes;
-            for &s in splits {
-                let (a, b) = rest.split_at(s.min(rest.len()));
-                h.write(a);
-                rest = b;
-            }
-            h.write(rest);
-            assert_eq!(h.finish(), one_shot, "chunking must not change the hash");
-        });
+    /// One piece of a streamed input: `Word` feeds the next 8 bytes
+    /// through `write_u64` (as integer keys do), `Bytes(n)` the next `n`
+    /// through `write`.
+    enum Piece {
+        Word,
+        Bytes(usize),
     }
 
-    /// Drives the streaming property over deterministic pseudo-random
-    /// inputs and chunkings without depending on the `check` harness's
-    /// public surface from inside the crate.
-    fn splitserve_split_cases() -> Vec<(Vec<u8>, Vec<usize>)> {
+    #[test]
+    fn streaming_matches_one_shot() {
+        for (bytes, pieces) in split_cases() {
+            let one_shot = xxh(SHUFFLE_HASH_SEED, &bytes);
+            let mut h = XxHash64::with_seed(SHUFFLE_HASH_SEED);
+            let mut rest = bytes.as_slice();
+            for piece in &pieces {
+                match *piece {
+                    Piece::Word if rest.len() >= 8 => {
+                        let (word, tail) = rest.split_at(8);
+                        h.write_u64(u64::from_ne_bytes(word.try_into().expect("8 bytes")));
+                        rest = tail;
+                    }
+                    Piece::Word => {}
+                    Piece::Bytes(n) => {
+                        let (a, b) = rest.split_at(n.min(rest.len()));
+                        h.write(a);
+                        rest = b;
+                    }
+                }
+            }
+            h.write(rest);
+            assert_eq!(
+                h.finish(),
+                one_shot,
+                "chunking (mixed write_u64/write) must not change the hash"
+            );
+        }
+    }
+
+    /// Deterministic pseudo-random inputs and chunkings for the streaming
+    /// property, drawn without the `check` harness's public surface from
+    /// inside the crate. Word pieces land at every buffer offset, so both
+    /// the direct `write_u64` path and its fall back to `write` run.
+    fn split_cases() -> Vec<(Vec<u8>, Vec<Piece>)> {
         let mut rng = crate::Rng::seed_from_u64(0x5eed);
-        (0..64)
+        (0..256)
             .map(|_| {
                 let n = rng.gen_range(0u64..200) as usize;
                 let mut bytes = vec![0u8; n];
                 rng.fill(&mut bytes);
-                let splits = (0..rng.gen_range(0u64..5))
-                    .map(|_| rng.gen_range(0u64..64) as usize)
+                let pieces = (0..rng.gen_range(0u64..12))
+                    .map(|_| {
+                        if rng.gen_range(0u64..2) == 0 {
+                            Piece::Word
+                        } else {
+                            Piece::Bytes(rng.gen_range(0u64..64) as usize)
+                        }
+                    })
                     .collect();
-                (bytes, splits)
+                (bytes, pieces)
             })
             .collect()
-    }
-
-    fn splitserve_rt_check_split(mut f: impl FnMut(&[u8], &[usize])) {
-        for (bytes, splits) in splitserve_split_cases() {
-            f(&bytes, &splits);
-        }
     }
 
     #[test]

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Shuffle data-plane benchmark harness: runs the `shuffle_hot` bench
 # (map-side combine+encode, reduce-side decode+merge micro-benchmarks,
-# the four paper workloads end to end, and the `parallel/*` worker-pool
-# scaling series), the `obs_overhead` bench (disabled-path record
+# the `shuffle/bytes_codec_cloudsort/*` byte-array codec loops with
+# `ns_per_byte`, the four paper workloads end to end, and the
+# `parallel/*` worker-pool scaling series), the `obs_overhead` bench (disabled-path record
 # costs for counters, histograms, spans, digests, rollups and the flight
 # recorder, and the enabled/disabled scenario walltime ratio), and the
 # `tenancy` bench (admission-control throughput and trace-generation

@@ -47,6 +47,8 @@ expected = {
     "shuffle/map_combine_encode_1m",
     "shuffle/map_encode_nocombine_500k",
     "shuffle/reduce_decode_merge_1m",
+    "shuffle/bytes_codec_cloudsort/encode",
+    "shuffle/bytes_codec_cloudsort/decode",
     "e2e/cloudsort_20k",
     "e2e/tpcds_q95_tiny",
     "e2e/pagerank_2k_2iter",
