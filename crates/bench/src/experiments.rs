@@ -7,7 +7,7 @@ use splitserve::{
     ProvisionPolicy, Scenario, ScenarioResult, ScenarioSpec,
 };
 use splitserve_cloud::{
-    fig1_crossover, fig1_vcpu_cost_at, CloudSpec, InstanceType, M4_10XLARGE, M4_16XLARGE,
+    fig1_crossover, fig1_vcpu_cost_at, CloudSpec, M4_10XLARGE, M4_16XLARGE,
     M4_4XLARGE, M4_LARGE, M4_XLARGE,
 };
 use splitserve_des::SimDuration;
@@ -750,8 +750,9 @@ pub fn ablation_controller(f: Fidelity, seed: u64) -> Table {
 /// without SplitServe's Lambda bridging — the inter-job composition of
 /// paper §4.1 (Fig. 2's lean-provisioning story, measured end to end).
 pub fn ablation_job_stream(f: Fidelity, seed: u64) -> Table {
-    use splitserve::{run_job_stream, StreamJob, StreamPolicy};
-    use splitserve_workloads::PageRank;
+    use splitserve::tenancy::WorkloadFn;
+    use splitserve::{run_tenant_fleet, FleetJob, FleetPolicy, TenantFleetConfig};
+    use std::rc::Rc;
     let mut t = Table::new(
         "Ablation: bursty job stream — fixed VM pool vs SplitServe bridging",
         &["policy", "slo_attainment", "mean_latency_s", "cost_usd", "lambdas"],
@@ -761,37 +762,35 @@ pub fn ablation_job_stream(f: Fidelity, seed: u64) -> Table {
         Fidelity::Quick => (15_000u64, 12.0),
     };
     // Three bursts of three overlapping 8-core jobs.
-    let jobs: Vec<StreamJob> = (0..9)
-        .map(|i| StreamJob {
-            arrive_at_secs: (i / 3) as f64 * 240.0 + (i % 3) as f64 * 3.0,
-            cores: 8,
-            slo_secs: slo,
-        })
+    let jobs: Vec<FleetJob> = (0..9u64)
+        .map(|i| FleetJob::streamed(i, (i / 3) as f64 * 240.0 + (i % 3) as f64 * 3.0, 8, slo))
         .collect();
     let spec = ScenarioSpec {
         seed,
         ..ScenarioSpec::default()
     };
-    let workload = move |cores: u32| -> Box<dyn DriverProgram> {
-        Box::new(PageRank::new(pages, 3, cores as usize * 2, seed).with_contrib_cost(2.0e-4))
-    };
-    for policy in [StreamPolicy::VmPoolOnly, StreamPolicy::SplitServe] {
-        let out = run_job_stream(policy, 8, M4_4XLARGE, &spec, &jobs, &workload);
+    let workload: WorkloadFn = Rc::new(move |j: &FleetJob| -> Box<dyn DriverProgram> {
+        Box::new(PageRank::new(pages, 3, j.cores as usize * 2, seed).with_contrib_cost(2.0e-4))
+    });
+    for (policy, label) in [
+        (FleetPolicy::VmOnly, "vm-pool-only"),
+        (FleetPolicy::SplitServe, "splitserve"),
+    ] {
+        let cfg = TenantFleetConfig::open_stream(policy, 8, M4_4XLARGE, &spec);
+        let out = run_tenant_fleet(&cfg, &jobs, Rc::clone(&workload));
+        let mean_latency = out
+            .outcomes
+            .iter()
+            .map(|o| o.finished_us as f64 / 1e6 - o.arrived_us as f64 / 1e6)
+            .sum::<f64>()
+            / out.outcomes.len() as f64;
         t.push(vec![
-            policy.to_string(),
-            format!("{:.2}", out.slo_attainment()),
-            secs(out.mean_latency()),
+            label.to_string(),
+            format!("{:.2}", out.slo.fleet_attainment()),
+            secs(mean_latency),
             usd(out.cost_usd),
             out.lambdas_launched.to_string(),
         ]);
     }
     t
-}
-
-/// Resolves the worker instance for `cores` (documentation helper).
-pub fn worker_for_cores(cores: u32) -> InstanceType {
-    splitserve_cloud::fewest_instances_for_cores(cores)
-        .into_iter()
-        .next()
-        .expect("non-empty fleet")
 }

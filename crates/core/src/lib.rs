@@ -50,7 +50,6 @@ mod planner;
 mod profiler;
 mod scenario;
 mod segue;
-mod stream;
 pub mod tenancy;
 
 pub use allocator::{start_allocator, AllocatorConfig, AllocatorHandle};
@@ -65,9 +64,6 @@ pub use scenario::{
     run_scenario, run_scenarios, DriverProgram, Scenario, ScenarioResult, ScenarioSpec,
 };
 pub use segue::{arm_segue, ReplacementSource, SegueConfig};
-pub use stream::{
-    bursty_arrivals, run_job_stream, JobOutcome, StreamJob, StreamOutcome, StreamPolicy,
-};
 pub use tenancy::{
     run_tenant_fleet, run_tenant_fleet_with, AdmissionController, FleetJob, FleetOutcome,
     FleetPolicy, SloClass, TenantFleetConfig, TenantJobOutcome, TenantSpec,

@@ -186,13 +186,6 @@ pub struct ScenarioResult {
     pub events: Vec<EngineEvent>,
 }
 
-impl ScenarioResult {
-    /// Slowdown of this run relative to a baseline execution time.
-    pub fn slowdown_vs(&self, baseline_secs: f64) -> f64 {
-        self.execution_secs / baseline_secs
-    }
-}
-
 /// Runs `scenario` with the given spec and workload.
 ///
 /// The workload is built fresh inside the run (datasets are per-run), the

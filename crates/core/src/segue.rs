@@ -16,7 +16,6 @@
 
 use splitserve_cloud::InstanceType;
 use splitserve_des::{Sim, SimDuration, SimTime};
-use splitserve_engine::EngineEventKind;
 
 use crate::deploy::Deployment;
 
@@ -109,19 +108,7 @@ pub fn arm_segue(sim: &mut Sim, deployment: &Deployment, cfg: SegueConfig) {
 /// Replacement cores are in place: drain each Lambda executor once it has
 /// exceeded the timeout (immediately, if it already has).
 fn commence_drain(sim: &mut Sim, deployment: &Deployment, timeout: SimDuration) {
-    deployment.engine().event_log().push(
-        sim.now(),
-        EngineEventKind::Marker("segue commences".to_string()),
-    );
-    deployment
-        .engine()
-        .obs()
-        .mark(sim.now(), "driver", "segue", "segue commences");
-    deployment
-        .engine()
-        .obs()
-        .flight
-        .record(sim.now(), "segue-commences", &[]);
+    deployment.engine().mark(sim.now(), "segue commences");
     for exec in deployment.lambda_executors() {
         let Some(info) = deployment.engine().executor_info(&exec) else {
             continue;
@@ -147,7 +134,7 @@ mod tests {
     use crate::deploy::ShuffleStoreKind;
     use splitserve_cloud::{CloudSpec, M4_4XLARGE, M4_XLARGE};
     use splitserve_des::Dist;
-    use splitserve_engine::{collect_partitions, Dataset};
+    use splitserve_engine::{collect_partitions, Dataset, EngineEventKind};
     use std::cell::RefCell;
     use std::rc::Rc;
 

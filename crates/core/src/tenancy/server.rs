@@ -25,7 +25,7 @@ use splitserve_storage::SharedStore;
 
 use crate::allocator::{start_allocator, AllocatorConfig, AllocatorHandle};
 use crate::deploy::{Deployment, ShuffleStoreKind};
-use crate::scenario::DriverProgram;
+use crate::scenario::{DriverProgram, ScenarioSpec};
 use crate::tenancy::admission::{
     AdmissionController, AdmissionEvent, AdmissionRequest, Dispatch, SloClass, TenantSpec,
 };
@@ -85,6 +85,24 @@ pub struct FleetJob {
     pub cores: u32,
     /// Latency SLO, microseconds.
     pub slo_us: u64,
+}
+
+impl FleetJob {
+    /// Job `job` of a [`TenantFleetConfig::open_stream`] run: the single
+    /// tenant's `cores`-wide job arriving at `arrive_secs` with an SLO of
+    /// `slo_secs`. Unlimited admission never schedules on the duration
+    /// estimate, so the SLO stands in for it.
+    pub fn streamed(job: u64, arrive_secs: f64, cores: u32, slo_secs: f64) -> Self {
+        let slo_us = SimTime::from_secs_f64(slo_secs).as_micros();
+        FleetJob {
+            job,
+            tenant_idx: 0,
+            arrive_at_us: SimTime::from_secs_f64(arrive_secs).as_micros(),
+            duration_us: slo_us,
+            cores,
+            slo_us,
+        }
+    }
 }
 
 /// Configuration of one fleet run.
@@ -180,6 +198,47 @@ impl TenantFleetConfig {
             lambda_memory_mb: 1_536,
             allocator,
             settle_tenant: TenantId::new("fleet"),
+        }
+    }
+}
+
+impl TenantFleetConfig {
+    /// A single default tenant with unlimited admission over a fixed
+    /// `pool_cores` VM pool, on `spec`'s cloud, engine and seed: every job
+    /// dispatches the instant it arrives (the paper's §4.1 inter-job
+    /// stream). `SplitServe` adds the launching facility, bridging backlog
+    /// with up to 128 Lambdas retired after 5 s idle; any other policy
+    /// runs the pool alone.
+    pub fn open_stream(
+        policy: FleetPolicy,
+        pool_cores: u32,
+        worker_type: InstanceType,
+        spec: &ScenarioSpec,
+    ) -> Self {
+        let tenant = TenantId::default();
+        TenantFleetConfig {
+            seed: spec.seed,
+            policy,
+            tenants: vec![TenantSpec {
+                id: tenant.clone(),
+                class: SloClass::Standard,
+                weight: 1,
+                max_concurrent: u32::MAX,
+            }],
+            slots: u32::MAX,
+            pool_cores,
+            worker_type,
+            master_type: spec.master_type.clone(),
+            store: ShuffleStoreKind::Hdfs,
+            cloud: spec.cloud.clone(),
+            engine: spec.engine.clone(),
+            lambda_memory_mb: spec.lambda_memory_mb,
+            allocator: (policy == FleetPolicy::SplitServe).then(|| AllocatorConfig {
+                max_lambdas: 128,
+                idle_timeout: SimDuration::from_secs(5),
+                ..AllocatorConfig::default()
+            }),
+            settle_tenant: tenant,
         }
     }
 }
@@ -600,4 +659,101 @@ pub fn tenant_slice(jobs: &[FleetJob], tenant_idx: usize) -> Vec<FleetJob> {
             ..*j
         })
         .collect()
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use splitserve_cloud::CloudSpec;
+    use splitserve_des::Dist;
+
+    struct BurstLoad {
+        cores: u32,
+    }
+
+    impl DriverProgram for BurstLoad {
+        fn name(&self) -> String {
+            "burst".into()
+        }
+        fn parallelism(&self) -> usize {
+            self.cores as usize
+        }
+        fn submit(&self, sim: &mut Sim, engine: &Engine, done: Box<dyn FnOnce(&mut Sim)>) {
+            let width = self.cores as usize * 2;
+            let ds =
+                Dataset::<u64>::generate(width, |p| (0..1_000u64).map(|i| i + p as u64).collect())
+                    .map_with_cost(|x| (*x % 4, 1u64), Some(1e-3))
+                    .reduce_by_key(4, |a, b| a + b);
+            engine.submit_job(sim, ds.node(), move |sim, _| done(sim));
+        }
+    }
+
+    fn quiet_spec() -> ScenarioSpec {
+        ScenarioSpec {
+            cloud: CloudSpec {
+                vm_boot: Dist::constant(110.0),
+                lambda_warm_start: Dist::constant(0.12),
+                lambda_cold_start: Dist::constant(3.0),
+                lambda_net_jitter: Dist::constant(1.0),
+                ..CloudSpec::default()
+            },
+            ..ScenarioSpec::default()
+        }
+    }
+
+    /// 8-core jobs arriving at the given seconds, each with `slo_secs`.
+    fn stream(arrivals: &[f64], slo_secs: f64) -> Vec<FleetJob> {
+        (0..)
+            .zip(arrivals)
+            .map(|(i, &at)| FleetJob::streamed(i, at, 8, slo_secs))
+            .collect()
+    }
+
+    fn run_stream(policy: FleetPolicy, pool_cores: u32, jobs: &[FleetJob]) -> FleetOutcome {
+        let cfg = TenantFleetConfig::open_stream(policy, pool_cores, M4_4XLARGE, &quiet_spec());
+        run_tenant_fleet(
+            &cfg,
+            jobs,
+            Rc::new(|j: &FleetJob| {
+                Box::new(BurstLoad { cores: j.cores }) as Box<dyn DriverProgram>
+            }),
+        )
+    }
+
+    fn mean_latency(r: &FleetOutcome) -> f64 {
+        r.outcomes
+            .iter()
+            .map(TenantJobOutcome::latency_secs)
+            .sum::<f64>()
+            / r.outcomes.len() as f64
+    }
+
+    #[test]
+    fn open_stream_bridging_lifts_slo_attainment_on_bursts() {
+        // 3 overlapping jobs of 8 cores each against an 8-core pool.
+        let jobs = stream(&[1.0, 1.5, 2.0], 8.0);
+        let vm_only = run_stream(FleetPolicy::VmOnly, 8, &jobs);
+        let ss = run_stream(FleetPolicy::SplitServe, 8, &jobs);
+        assert_eq!(vm_only.lambdas_launched, 0);
+        assert!(ss.lambdas_launched > 0, "bridging must have happened");
+        assert!(
+            mean_latency(&ss) < mean_latency(&vm_only),
+            "SplitServe {:.1}s vs VM-only {:.1}s",
+            mean_latency(&ss),
+            mean_latency(&vm_only)
+        );
+        assert!(ss.slo.fleet_attainment() >= vm_only.slo.fleet_attainment());
+    }
+
+    #[test]
+    fn quiet_open_stream_barely_bridges() {
+        // Jobs spaced far apart fit a 16-core pool; the controller idles.
+        let ss = run_stream(FleetPolicy::SplitServe, 16, &stream(&[0.0, 100.0], 60.0));
+        assert_eq!(ss.slo.fleet_attainment(), 1.0);
+        assert!(
+            ss.lambdas_launched <= 8,
+            "quiet stream should barely bridge: {}",
+            ss.lambdas_launched
+        );
+    }
 }

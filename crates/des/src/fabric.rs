@@ -29,8 +29,7 @@ pub struct LinkId(usize);
 pub struct FlowId(u64);
 
 struct Link {
-    capacity: f64, // bytes per second
-    label: String,
+    capacity: f64,    // bytes per second
     active: Vec<u64>, // flow ids (kept sorted-by-insertion; deterministic)
 }
 
@@ -132,12 +131,13 @@ impl Fabric {
         Fabric::default()
     }
 
-    /// Adds a link with `capacity` bytes/second and a debugging label.
+    /// Adds a link with `capacity` bytes/second. `_label` names the link
+    /// at the call site only; the fabric does not keep it.
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is not strictly positive and finite.
-    pub fn add_link(&self, capacity: f64, label: impl Into<String>) -> LinkId {
+    pub fn add_link(&self, capacity: f64, _label: impl Into<String>) -> LinkId {
         assert!(
             capacity > 0.0 && capacity.is_finite(),
             "link capacity must be positive and finite: {capacity}"
@@ -146,7 +146,6 @@ impl Fabric {
         let id = inner.links.len();
         inner.links.push(Link {
             capacity,
-            label: label.into(),
             active: Vec::new(),
         });
         LinkId(id)
@@ -155,11 +154,6 @@ impl Fabric {
     /// The capacity of `link` in bytes/second.
     pub fn link_capacity(&self, link: LinkId) -> f64 {
         self.inner.borrow().links[link.0].capacity
-    }
-
-    /// The label given to `link` at creation.
-    pub fn link_label(&self, link: LinkId) -> String {
-        self.inner.borrow().links[link.0].label.clone()
     }
 
     /// Number of flows currently in flight.

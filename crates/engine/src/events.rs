@@ -1,10 +1,11 @@
 //! The engine event log — the raw material for the paper's execution
 //! timelines (Figure 7) and per-executor work-distribution analyses.
 
-use std::cell::{Cell, RefCell};
+use std::cell::RefCell;
 use std::rc::Rc;
 
 use splitserve_des::SimTime;
+use splitserve_storage::StoreError;
 
 use crate::executor::{ExecutorId, ExecutorKind};
 use crate::node::ShuffleId;
@@ -17,6 +18,37 @@ pub struct JobId(pub u64);
 impl std::fmt::Display for JobId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "job-{}", self.0)
+    }
+}
+
+/// Why a task attempt ended without producing its output. The
+/// `tasks_failed_total{reason}` label and the flight record's `reason`
+/// field are its [`FailureKind::label`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum FailureKind {
+    /// The executor died mid-flight.
+    ExecutorLost,
+    /// A shuffle-input block could not be fetched.
+    FetchFailed(Box<StoreError>),
+    /// The store rejected a map-output write.
+    WriteFailed(Box<StoreError>),
+}
+
+impl FailureKind {
+    /// Every label, in [`FailureKind::idx`] order.
+    pub(crate) const LABELS: [&'static str; 3] = ["executor-lost", "fetch-failed", "write-failed"];
+
+    /// The stable label: `executor-lost`, `fetch-failed` or `write-failed`.
+    pub fn label(&self) -> &'static str {
+        Self::LABELS[self.idx()]
+    }
+
+    pub(crate) fn idx(&self) -> usize {
+        match self {
+            FailureKind::ExecutorLost => 0,
+            FailureKind::FetchFailed(_) => 1,
+            FailureKind::WriteFailed(_) => 2,
+        }
     }
 }
 
@@ -98,7 +130,8 @@ pub enum EngineEventKind {
         /// Reference-core CPU seconds it charged.
         cpu_secs: f64,
     },
-    /// A task failed (executor death mid-flight).
+    /// A task attempt ended without producing its output; it is
+    /// re-queued.
     TaskFailed {
         /// Stage the task belongs to.
         stage: StageId,
@@ -107,7 +140,7 @@ pub enum EngineEventKind {
         /// Where it ran.
         exec: ExecutorId,
         /// Why.
-        reason: String,
+        failure: FailureKind,
     },
     /// A reduce task could not fetch a map output block.
     FetchFailed {
@@ -118,7 +151,9 @@ pub enum EngineEventKind {
         /// The shuffle whose block was missing.
         shuffle: ShuffleId,
     },
-    /// Free-form marker pushed by higher layers (e.g. "segue commences").
+    /// A marker recorded by a higher layer through
+    /// [`Engine::mark`](crate::Engine::mark), reading `"<track> <what>"`
+    /// (e.g. "segue commences").
     Marker(String),
 }
 
@@ -131,83 +166,20 @@ pub struct EngineEvent {
     pub kind: EngineEventKind,
 }
 
-/// Shared, cloneable event log.
+/// The engine's event log: every state change, in the order the
+/// scheduler made it. Always on and unbounded; the engine appends to it
+/// as the last step of recording each event.
 ///
-/// Optionally bounded: a log created with [`EventLog::bounded`] stops
-/// recording at its capacity and counts the overflow instead, so long
-/// streaming scenarios cannot grow the log without bound.
-#[derive(Debug, Clone)]
+/// Cloneable handle; clones share the log.
+#[derive(Debug, Clone, Default)]
 pub struct EventLog {
     events: Rc<RefCell<Vec<EngineEvent>>>,
-    enabled: bool,
-    capacity: Option<usize>,
-    dropped: Rc<Cell<u64>>,
-    registry: splitserve_obs::MetricsRegistry,
-}
-
-/// The default log is **disabled** — it drops every push. This mirrors
-/// observability being opt-in everywhere in the workspace; construct via
-/// [`EventLog::new`]/[`EventLog::bounded`] to actually record.
-impl Default for EventLog {
-    fn default() -> Self {
-        EventLog::disabled()
-    }
 }
 
 impl EventLog {
-    /// Creates an unbounded log; when `enabled` is false, pushes are
-    /// dropped.
-    pub fn new(enabled: bool) -> Self {
-        EventLog::bounded(enabled, None, splitserve_obs::MetricsRegistry::disabled())
-    }
-
-    /// A log that explicitly records nothing (also the [`Default`]).
-    pub fn disabled() -> Self {
-        EventLog::new(false)
-    }
-
-    /// Creates a log holding at most `capacity` events (unbounded when
-    /// `None`). Events past the cap are dropped and counted — locally
-    /// (see [`EventLog::dropped`]) and on `registry` as the
-    /// `event_log_dropped_total` counter.
-    pub fn bounded(
-        enabled: bool,
-        capacity: Option<usize>,
-        registry: splitserve_obs::MetricsRegistry,
-    ) -> Self {
-        EventLog {
-            events: Rc::new(RefCell::new(Vec::new())),
-            enabled,
-            capacity,
-            dropped: Rc::new(Cell::new(0)),
-            registry,
-        }
-    }
-
     /// Appends an event.
-    pub fn push(&self, at: SimTime, kind: EngineEventKind) {
-        if !self.enabled {
-            return;
-        }
-        if let Some(cap) = self.capacity {
-            if self.events.borrow().len() >= cap {
-                self.dropped.set(self.dropped.get() + 1);
-                self.registry
-                    .counter_add("event_log_dropped_total", &[], 1);
-                return;
-            }
-        }
+    pub(crate) fn push(&self, at: SimTime, kind: EngineEventKind) {
         self.events.borrow_mut().push(EngineEvent { at, kind });
-    }
-
-    /// Events dropped because the log was at capacity.
-    pub fn dropped(&self) -> u64 {
-        self.dropped.get()
-    }
-
-    /// The configured capacity, if bounded.
-    pub fn capacity(&self) -> Option<usize> {
-        self.capacity
     }
 
     /// Snapshot of all events so far.
@@ -224,11 +196,6 @@ impl EventLog {
     pub fn is_empty(&self) -> bool {
         self.events.borrow().is_empty()
     }
-
-    /// Clears the log (between scenario runs sharing an engine).
-    pub fn clear(&self) {
-        self.events.borrow_mut().clear();
-    }
 }
 
 #[cfg(test)]
@@ -237,7 +204,8 @@ mod tests {
 
     #[test]
     fn push_and_snapshot() {
-        let log = EventLog::new(true);
+        let log = EventLog::default();
+        assert!(log.is_empty());
         log.push(SimTime::ZERO, EngineEventKind::Marker("hi".into()));
         log.push(
             SimTime::from_secs(1),
@@ -246,45 +214,5 @@ mod tests {
         let snap = log.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].kind, EngineEventKind::Marker("hi".into()));
-        log.clear();
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn disabled_log_drops_events() {
-        let log = EventLog::new(false);
-        log.push(SimTime::ZERO, EngineEventKind::Marker("dropped".into()));
-        assert!(log.is_empty());
-    }
-
-    #[test]
-    fn default_is_the_disabled_log() {
-        let log = EventLog::default();
-        log.push(SimTime::ZERO, EngineEventKind::Marker("dropped".into()));
-        assert!(log.is_empty());
-        assert_eq!(log.dropped(), 0, "disabled pushes are not capacity drops");
-    }
-
-    #[test]
-    fn bounded_log_drops_overflow_and_counts_it() {
-        let registry = splitserve_obs::MetricsRegistry::enabled();
-        let log = EventLog::bounded(true, Some(2), registry.clone());
-        assert_eq!(log.capacity(), Some(2));
-        for i in 0..5 {
-            log.push(
-                SimTime::from_secs(i),
-                EngineEventKind::Marker(format!("m{i}")),
-            );
-        }
-        assert_eq!(log.len(), 2, "capacity respected");
-        assert_eq!(log.dropped(), 3);
-        assert_eq!(
-            registry.counter_value("event_log_dropped_total", &[]),
-            3
-        );
-        // The retained events are the earliest ones, in order.
-        let snap = log.snapshot();
-        assert_eq!(snap[0].kind, EngineEventKind::Marker("m0".into()));
-        assert_eq!(snap[1].kind, EngineEventKind::Marker("m1".into()));
     }
 }

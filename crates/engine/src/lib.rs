@@ -41,7 +41,7 @@ mod tracker;
 
 pub use config::{EngineConfig, StragglerConfig, WorkModel};
 pub use context::TaskContext;
-pub use events::{EngineEvent, EngineEventKind, EventLog, JobId};
+pub use events::{EngineEvent, EngineEventKind, EventLog, FailureKind, JobId};
 pub use executor::{ExecutorDesc, ExecutorId, ExecutorKind};
 pub use metrics::{JobMetrics, JobOutput};
 pub use node::{

@@ -216,17 +216,6 @@ impl<T: Send + Sync + 'static> Dataset<T> {
         }))
     }
 
-    /// Pairs each record with a key.
-    pub fn key_by<K: Send + Sync + 'static>(
-        &self,
-        f: impl Fn(&T) -> K + Send + Sync + 'static,
-    ) -> Dataset<(K, T)>
-    where
-        T: Clone,
-    {
-        self.map(move |t| (f(t), t.clone()))
-    }
-
     /// Concatenates two datasets (partitions are appended, no shuffle).
     pub fn union(&self, other: &Dataset<T>) -> Dataset<T> {
         Dataset::from_node(Arc::new(UnionNode::<T> {

@@ -28,12 +28,12 @@ use splitserve_storage::{BlockId, BlockStore, StoreError};
 
 use crate::config::EngineConfig;
 use crate::context::TaskContext;
-use crate::events::{EngineEventKind, EventLog, JobId};
+use crate::events::{EngineEventKind, EventLog, FailureKind, JobId};
 use crate::executor::{ExecutorDesc, ExecutorId, ExecutorKind};
 use crate::metrics::{JobMetrics, JobOutput};
 use crate::node::{PartitionData, PlanNode, ShuffleBucket, ShuffleId};
 use crate::stage::{build_stages, StageGraph, StageId, StageKind};
-use crate::telemetry::{FailureKind, Telemetry};
+use crate::telemetry::{Ctx, ShufflePhase, Telemetry};
 use crate::tracker::{MapOutputTracker, MapStatus};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -243,7 +243,8 @@ pub struct ExecutorInfo {
 pub struct Engine {
     inner: Rc<RefCell<Inner>>,
     store: Rc<dyn BlockStore>,
-    log: EventLog,
+    /// The only recorder: every state change goes through
+    /// [`Telemetry::emit`], which keeps the event log and every view.
     tele: Telemetry,
     /// Worker threads for task bodies; `None` runs bodies inline on the
     /// simulation thread (`workers <= 1`). Shared `Rc`: the pool joins
@@ -294,11 +295,6 @@ impl PendingBody {
 impl Engine {
     /// Creates an engine over the given shuffle store.
     pub fn new(cfg: EngineConfig, store: Rc<dyn BlockStore>) -> Self {
-        let log = EventLog::bounded(
-            cfg.event_log,
-            cfg.event_log_capacity,
-            cfg.obs.metrics.clone(),
-        );
         let tele = Telemetry::new(cfg.obs.clone());
         let pool = (cfg.workers >= 2).then(|| Rc::new(WorkerPool::new(cfg.workers)));
         Engine {
@@ -317,14 +313,24 @@ impl Engine {
                 stage_runtimes: FastMap::default(),
             })),
             store,
-            log,
             tele,
         }
     }
 
     /// The engine's event log.
     pub fn event_log(&self) -> &EventLog {
-        &self.log
+        self.tele.log()
+    }
+
+    /// Records a higher layer's marker (e.g. the segue facility's
+    /// "segue commences") in the event log and every telemetry view. The
+    /// text reads `"<track> <what>"`; see [`EngineEventKind::Marker`].
+    pub fn mark(&self, at: SimTime, text: &str) {
+        self.tele.emit(
+            at,
+            EngineEventKind::Marker(text.to_string()),
+            Ctx::default(),
+        );
     }
 
     /// The observability handle the engine records into (the one passed
@@ -363,9 +369,11 @@ impl Engine {
                 speed_factor: 1.0,
             });
             assert!(fresh, "duplicate executor {id}");
-            self.tele.executor_registered(sim.now(), id, kind);
-            self.log
-                .push(sim.now(), EngineEventKind::ExecutorRegistered { exec: id, kind });
+            self.tele.emit(
+                sim.now(),
+                EngineEventKind::ExecutorRegistered { exec: id, kind },
+                Ctx::default(),
+            );
         }
         self.dispatch(sim);
     }
@@ -403,11 +411,6 @@ impl Engine {
         self.inner.borrow().pending.len()
     }
 
-    /// Whether any submitted job has not completed yet.
-    pub fn has_active_jobs(&self) -> bool {
-        self.inner.borrow().jobs.iter().any(|j| !j.done)
-    }
-
     /// Number of live, non-draining executors.
     pub fn active_executors(&self) -> usize {
         let inner = self.inner.borrow();
@@ -439,8 +442,11 @@ impl Engine {
             meta.draining = true;
             meta.on_drained = Some(Box::new(on_drained));
             let idle = meta.running.is_none();
-            self.log
-                .push(sim.now(), EngineEventKind::ExecutorDraining { exec: *id });
+            self.tele.emit(
+                sim.now(),
+                EngineEventKind::ExecutorDraining { exec: *id },
+                Ctx::default(),
+            );
             idle
         };
         if finish_now {
@@ -463,28 +469,15 @@ impl Engine {
             }
             meta.alive = false;
             let running = meta.running.take();
-            self.log
-                .push(sim.now(), EngineEventKind::ExecutorLost { exec: *id });
+            self.tele.emit(
+                sim.now(),
+                EngineEventKind::ExecutorLost { exec: *id },
+                Ctx::default(),
+            );
             if let Some(attempt) = running {
                 if let Some(info) = inner.attempts.remove(&attempt) {
-                    self.log.push(
-                        sim.now(),
-                        EngineEventKind::TaskFailed {
-                            stage: info.stage,
-                            part: info.part,
-                            exec: *id,
-                            reason: "executor lost".into(),
-                        },
-                    );
                     if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                        self.tele.task_failed(
-                            sim.now(),
-                            job.metrics_mut(),
-                            info.span,
-                            info.stage,
-                            info.part,
-                            FailureKind::ExecutorLost,
-                        );
+                        self.task_failed(sim.now(), job, &info, FailureKind::ExecutorLost);
                         let st = &mut job.status[info.stage.0 as usize];
                         st.running.remove(&info.part);
                         st.queued.insert(info.part);
@@ -557,9 +550,10 @@ impl Engine {
             }
             meta.alive = false;
             let cb = meta.on_drained.take();
-            self.log.push(
+            self.tele.emit(
                 sim.now(),
                 EngineEventKind::ExecutorDecommissioned { exec: id },
+                Ctx::default(),
             );
             cb
         };
@@ -594,13 +588,13 @@ impl Engine {
                     if st.state == Some(StageState::Done) && !inner.tracker.is_complete(dep.id) {
                         let missing = inner.tracker.missing(dep.id).len();
                         st.state = Some(StageState::Waiting);
-                        self.tele.stage_rolled_back(sim.now(), stage.id, missing);
-                        self.log.push(
+                        self.tele.emit(
                             sim.now(),
                             EngineEventKind::StageRolledBack {
                                 stage: stage.id,
                                 missing,
                             },
+                            Ctx::default(),
                         );
                     }
                 }
@@ -650,12 +644,13 @@ impl Engine {
                         .register_shuffle(dep.id, dep.parent.num_partitions());
                 }
             }
-            self.log.push(
+            self.tele.emit(
                 sim.now(),
                 EngineEventKind::JobSubmitted {
                     job: id,
                     stages: graph.len(),
                 },
+                Ctx::default(),
             );
             let n_stages = graph.len();
             let result_width = graph.stage(graph.result).num_tasks;
@@ -709,9 +704,11 @@ impl Engine {
                 if complete {
                     if st.state != Some(StageState::Done) {
                         st.state = Some(StageState::Done);
-                        self.tele.stage_completed(metrics);
-                        self.log
-                            .push(sim.now(), EngineEventKind::StageCompleted { stage: stage.id });
+                        self.tele.emit(
+                            sim.now(),
+                            EngineEventKind::StageCompleted { stage: stage.id },
+                            Ctx::job(metrics),
+                        );
                     }
                     continue;
                 }
@@ -738,12 +735,13 @@ impl Engine {
                     }
                 }
                 if queued_now > 0 {
-                    self.log.push(
+                    self.tele.emit(
                         sim.now(),
                         EngineEventKind::StageSubmitted {
                             stage: stage.id,
                             tasks: queued_now,
                         },
+                        Ctx::default(),
                     );
                 }
                 st.state = Some(StageState::Running);
@@ -753,9 +751,11 @@ impl Engine {
             if job.result_parts.iter().all(Option::is_some) && !job.done {
                 job.done = true;
                 metrics.completed_at = sim.now();
-                self.tele.job_completed(sim.now(), job_id, &job.metrics);
-                self.log
-                    .push(sim.now(), EngineEventKind::JobCompleted { job: job_id });
+                self.tele.emit(
+                    sim.now(),
+                    EngineEventKind::JobCompleted { job: job_id },
+                    Ctx::job(metrics),
+                );
                 // Hand the job's only references over: `collect_partitions`
                 // can then move the rows out instead of cloning them (the
                 // done flag above keeps this arm from running twice).
@@ -877,9 +877,18 @@ impl Engine {
                 let attempt = AttemptId(inner.next_attempt);
                 inner.next_attempt += 1;
                 meta.running = Some(attempt);
-                let span =
-                    self.tele
-                        .task_started(sim.now(), exec_id, meta.desc.kind, stage_id, part);
+                let span = self.tele.emit(
+                    sim.now(),
+                    EngineEventKind::TaskStarted {
+                        stage: stage_id,
+                        part,
+                        exec: exec_id,
+                    },
+                    Ctx {
+                        kind: Some(meta.desc.kind),
+                        ..Ctx::default()
+                    },
+                );
                 inner.attempts.insert(
                     attempt,
                     AttemptInfo {
@@ -890,14 +899,6 @@ impl Engine {
                         span,
                         started_at: sim.now(),
                         straggler_flagged: false,
-                    },
-                );
-                self.log.push(
-                    sim.now(),
-                    EngineEventKind::TaskStarted {
-                        stage: stage_id,
-                        part,
-                        exec: exec_id,
                     },
                 );
                 // Build the fetch plan: (shuffle, map index, writer, size).
@@ -978,7 +979,7 @@ impl Engine {
                 sim.now(),
                 info.exec,
                 meta.desc.kind,
-                "shuffle fetch",
+                ShufflePhase::Fetch,
             );
             (meta.desc.client_loc(), span, info.part)
         };
@@ -1060,9 +1061,12 @@ impl Engine {
                                     let mut st = state2.borrow_mut();
                                     (std::mem::take(&mut st.results), st.span, st.started)
                                 };
-                                engine2
-                                    .tele
-                                    .shuffle_phase_finished(sim.now(), span, "fetch", started);
+                                engine2.tele.shuffle_phase_finished(
+                                    sim.now(),
+                                    span,
+                                    ShufflePhase::Fetch,
+                                    started,
+                                );
                                 engine2.run_compute(sim, attempt, in_map_order(results), fetched_bytes);
                             } else {
                                 spawn_next(
@@ -1291,7 +1295,7 @@ impl Engine {
                 .desc
                 .kind;
             self.tele
-                .shuffle_phase_started(sim.now(), info.exec, kind, "shuffle write")
+                .shuffle_phase_started(sim.now(), info.exec, kind, ShufflePhase::Write)
         };
         struct WriteState {
             queue: VecDeque<(BlockId, Bytes)>,
@@ -1365,9 +1369,12 @@ impl Engine {
                                     let st = state2.borrow();
                                     (st.span, st.started)
                                 };
-                                engine2
-                                    .tele
-                                    .shuffle_phase_finished(sim.now(), span, "write", started);
+                                engine2.tele.shuffle_phase_finished(
+                                    sim.now(),
+                                    span,
+                                    ShufflePhase::Write,
+                                    started,
+                                );
                                 engine2.map_outputs_done(
                                     sim,
                                     attempt,
@@ -1444,30 +1451,26 @@ impl Engine {
             let drain = meta.draining && meta.alive;
             let run_secs = sim.now().saturating_since(info.started_at).as_secs_f64();
             if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                self.tele.task_finished(
+                self.tele.emit(
                     sim.now(),
-                    job.metrics_mut(),
-                    kind,
-                    info.span,
-                    info.stage,
-                    info.part,
-                    cpu,
-                    run_secs,
+                    EngineEventKind::TaskFinished {
+                        stage: info.stage,
+                        part: info.part,
+                        exec: info.exec,
+                        cpu_secs: cpu,
+                    },
+                    Ctx {
+                        metrics: Some(job.metrics_mut()),
+                        kind: Some(kind),
+                        span: info.span,
+                        run_secs,
+                    },
                 );
                 job.status[info.stage.0 as usize].running.remove(&info.part);
             }
             if self.tele.obs().is_enabled() {
                 self.straggler_watch(sim.now(), inner, &info, run_secs);
             }
-            self.log.push(
-                sim.now(),
-                EngineEventKind::TaskFinished {
-                    stage: info.stage,
-                    part: info.part,
-                    exec: info.exec,
-                    cpu_secs: cpu,
-                },
-            );
             (info.job, drain.then_some(info.exec))
         };
         if let Some(exec) = decommission_target {
@@ -1512,6 +1515,30 @@ impl Engine {
         }
     }
 
+    /// Records a failed attempt; the caller re-queues the task.
+    fn task_failed(
+        &self,
+        at: SimTime,
+        job: &mut JobState,
+        info: &AttemptInfo,
+        failure: FailureKind,
+    ) {
+        self.tele.emit(
+            at,
+            EngineEventKind::TaskFailed {
+                stage: info.stage,
+                part: info.part,
+                exec: info.exec,
+                failure,
+            },
+            Ctx {
+                metrics: Some(job.metrics_mut()),
+                span: info.span,
+                ..Ctx::default()
+            },
+        );
+    }
+
     /// A shuffle fetch failed: requeue the task, invalidate the lost map
     /// output so its stage is resubmitted.
     fn fetch_failed(
@@ -1528,36 +1555,22 @@ impl Engine {
             let Some(info) = inner.attempts.remove(&attempt) else {
                 return;
             };
-            self.log.push(
+            self.tele.emit(
                 sim.now(),
                 EngineEventKind::FetchFailed {
                     stage: info.stage,
                     part: info.part,
                     shuffle,
                 },
-            );
-            self.log.push(
-                sim.now(),
-                EngineEventKind::TaskFailed {
-                    stage: info.stage,
-                    part: info.part,
-                    exec: info.exec,
-                    reason: err.to_string(),
-                },
+                Ctx::default(),
             );
             inner.tracker.unregister_output(shuffle, map);
             if let Some(meta) = inner.exec_mut(info.exec) {
                 meta.running = None;
             }
             if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                self.tele.task_failed(
-                    sim.now(),
-                    job.metrics_mut(),
-                    info.span,
-                    info.stage,
-                    info.part,
-                    FailureKind::FetchFailed,
-                );
+                let failure = FailureKind::FetchFailed(Box::new(err));
+                self.task_failed(sim.now(), job, &info, failure);
                 let st = &mut job.status[info.stage.0 as usize];
                 st.running.remove(&info.part);
                 st.queued.insert(info.part);
@@ -1576,27 +1589,12 @@ impl Engine {
             let Some(info) = inner.attempts.remove(&attempt) else {
                 return;
             };
-            self.log.push(
-                sim.now(),
-                EngineEventKind::TaskFailed {
-                    stage: info.stage,
-                    part: info.part,
-                    exec: info.exec,
-                    reason: err.to_string(),
-                },
-            );
             if let Some(meta) = inner.exec_mut(info.exec) {
                 meta.running = None;
             }
             if let Some(job) = inner.jobs.get_mut(info.job.0 as usize) {
-                self.tele.task_failed(
-                    sim.now(),
-                    job.metrics_mut(),
-                    info.span,
-                    info.stage,
-                    info.part,
-                    FailureKind::WriteFailed,
-                );
+                let failure = FailureKind::WriteFailed(Box::new(err));
+                self.task_failed(sim.now(), job, &info, failure);
                 let st = &mut job.status[info.stage.0 as usize];
                 st.running.remove(&info.part);
                 st.queued.insert(info.part);

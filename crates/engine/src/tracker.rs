@@ -35,11 +35,6 @@ impl MapOutputTracker {
         self.shuffles.entry(id).or_insert_with(|| vec![None; maps]);
     }
 
-    /// `true` if the shuffle is known.
-    pub fn has_shuffle(&self, id: ShuffleId) -> bool {
-        self.shuffles.contains_key(&id)
-    }
-
     /// Records a completed map task's output.
     ///
     /// # Panics

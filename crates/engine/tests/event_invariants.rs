@@ -1,18 +1,24 @@
 //! Ordering and pairing invariants of the engine's observability output:
 //! the event log must tell a time-ordered story, every started task must
-//! end exactly once, and the span recorder's open/close pairs must nest.
+//! end exactly once, the span recorder's open/close pairs must nest, and
+//! every registry counter the engine keeps must equal the count of its
+//! events in the log.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::rc::Rc;
 
+use splitserve::{Deployment, ShuffleStoreKind};
+use splitserve_chaos::workloads::{ChaosPageRank, ChaosWorkload};
+use splitserve_chaos::{inject, ChaosTopology, FaultPlan};
+use splitserve_cloud::{M4_4XLARGE, M4_XLARGE};
 use splitserve_des::{Fabric, Sim, SimTime};
 use splitserve_engine::{
     collect_partitions, Dataset, Engine, EngineConfig, EngineEvent, EngineEventKind, ExecutorDesc,
-    JobOutput,
+    ExecutorKind, JobOutput,
 };
-use splitserve_obs::Obs;
-use splitserve_storage::LocalDiskStore;
+use splitserve_obs::{FlightRecorder, Obs};
+use splitserve_storage::{FaultStore, LocalDiskStore, StoreFaults};
 
 struct Rig {
     sim: Sim,
@@ -191,47 +197,6 @@ fn invariants_survive_executor_kill_and_rollback() {
 }
 
 #[test]
-fn event_log_overflow_is_surfaced_as_a_drop_counter() {
-    // A capacity far below what one shuffle job emits: the log must hold
-    // exactly `cap` events and surface every dropped push as
-    // `event_log_dropped_total`, so a truncated timeline is detectable
-    // from a metrics dump alone.
-    let cap = 8;
-    let mut rig = {
-        let fabric = Fabric::new();
-        let store = Rc::new(LocalDiskStore::new(fabric.clone()));
-        let cfg = EngineConfig {
-            obs: Obs::enabled(),
-            event_log_capacity: Some(cap),
-            ..EngineConfig::default()
-        };
-        let engine = Engine::new(cfg, store);
-        let mut sim = Sim::new(11);
-        for i in 0..2 {
-            let nic = fabric.add_link(1e9, format!("nic-{i}"));
-            let disk = fabric.add_link(1e9, format!("disk-{i}"));
-            engine
-                .register_executor(&mut sim, ExecutorDesc::vm(format!("e-vm-{i}"), nic, disk, 8192));
-        }
-        Rig { sim, engine }
-    };
-    run_shuffle_job(&mut rig);
-    let events = rig.engine.event_log().snapshot();
-    assert_eq!(events.len(), cap, "log must stop at its capacity");
-    let dropped = rig
-        .engine
-        .obs()
-        .metrics
-        .counter_total("event_log_dropped_total");
-    assert!(dropped > 0, "overflow must be counted, not silent");
-    // Retained + dropped = everything an uncapped run would have logged.
-    let mut uncapped = observed_rig(2);
-    run_shuffle_job(&mut uncapped);
-    let full = uncapped.engine.event_log().snapshot().len() as u64;
-    assert_eq!(cap as u64 + dropped, full, "drop count must be exact");
-}
-
-#[test]
 fn disabled_obs_records_nothing() {
     let mut rig = {
         let fabric = Fabric::new();
@@ -253,4 +218,159 @@ fn disabled_obs_records_nothing() {
     assert!(obs.spans.finished_spans().is_empty());
     assert_eq!(obs.metrics.counter_total("tasks_completed_total"), 0);
     assert_eq!(obs.metrics.render_prometheus(), "");
+}
+
+/// One chaos case on the default chaos topology, like
+/// `splitserve_chaos::run_case`, but keeping the engine's event log and a
+/// flight ring large enough never to overwrite.
+fn chaos_case(seed: u64, store: ShuffleStoreKind) -> (Vec<EngineEvent>, Obs) {
+    let topo = ChaosTopology::default();
+    let plan = FaultPlan::generate(seed);
+    let mut sim = Sim::new(topo.sim_seed);
+    let obs = Obs {
+        flight: FlightRecorder::with_capacity(1 << 20),
+        ..Obs::enabled()
+    };
+    let faults = StoreFaults::new();
+    plan.arm_store_faults(&faults);
+    let cfg = EngineConfig {
+        obs: obs.clone(),
+        ..EngineConfig::default()
+    };
+    let d = Deployment::with_wrapped_store(
+        &mut sim,
+        topo.cloud_spec(),
+        store,
+        M4_XLARGE,
+        cfg,
+        move |s| FaultStore::wrap(s, faults),
+    );
+    d.add_vm_workers(&mut sim, M4_4XLARGE, topo.vm_cores);
+    d.add_lambda_executors(&mut sim, topo.initial_lambdas);
+    for wave in 1..=u64::from(topo.wave_count) {
+        let d2 = d.clone();
+        sim.schedule_at(SimTime::from_secs(wave * topo.wave_every_s), move |sim| {
+            d2.add_lambda_executors(sim, topo.wave_size);
+        });
+    }
+    let d2 = d.clone();
+    sim.schedule_at(SimTime::from_secs(topo.rescue_at_s), move |sim| {
+        d2.add_vm_workers(sim, M4_4XLARGE, topo.rescue_cores);
+    });
+    inject::arm(&mut sim, &d, &plan);
+    ChaosPageRank::small().submit(&mut sim, d.engine(), Box::new(|_, _| {}));
+    sim.run();
+    assert_eq!(
+        obs.flight.overwritten(),
+        0,
+        "the ring must hold the whole run"
+    );
+    (d.engine().event_log().snapshot(), obs)
+}
+
+#[test]
+fn registry_counters_are_folds_of_the_event_log() {
+    // Seen across every case, so the sweep provably reaches each
+    // failure path and the rollback path.
+    let mut seen: BTreeMap<&str, u64> = BTreeMap::new();
+    for seed in 0..8u64 {
+        for store in [ShuffleStoreKind::Hdfs, ShuffleStoreKind::Local] {
+            let (events, obs) = chaos_case(seed, store);
+            let m = &obs.metrics;
+            let mut kinds = HashMap::new();
+            let mut counts: BTreeMap<String, u64> = BTreeMap::new();
+            let mut bump = |key: String| *counts.entry(key).or_default() += 1;
+            for e in &events {
+                match &e.kind {
+                    EngineEventKind::ExecutorRegistered { exec, kind } => {
+                        kinds.insert(*exec, *kind);
+                        bump(format!("registered/{kind:?}"));
+                    }
+                    EngineEventKind::TaskFinished { exec, .. } => {
+                        bump(format!("completed/{:?}", kinds[exec]));
+                    }
+                    EngineEventKind::TaskFailed { failure, .. } => {
+                        bump(format!("failed/{}", failure.label()));
+                    }
+                    EngineEventKind::StageRolledBack { .. } => bump("rollbacks".into()),
+                    EngineEventKind::StageCompleted { .. } => bump("stages".into()),
+                    EngineEventKind::JobCompleted { .. } => bump("jobs".into()),
+                    _ => {}
+                }
+            }
+            let count = |key: &str| counts.get(key).copied().unwrap_or(0);
+            let case = format!("seed {seed} {store:?}");
+            for (kind, label) in [(ExecutorKind::Vm, "vm"), (ExecutorKind::Lambda, "lambda")] {
+                assert_eq!(
+                    m.counter_value("executors_registered_total", &[("kind", label)]),
+                    count(&format!("registered/{kind:?}")),
+                    "{case}: executors_registered_total{{kind={label}}}"
+                );
+                assert_eq!(
+                    m.counter_value("tasks_completed_total", &[("kind", label)]),
+                    count(&format!("completed/{kind:?}")),
+                    "{case}: tasks_completed_total{{kind={label}}}"
+                );
+            }
+            for reason in ["executor-lost", "fetch-failed", "write-failed"] {
+                let n = count(&format!("failed/{reason}"));
+                assert_eq!(
+                    m.counter_value("tasks_failed_total", &[("reason", reason)]),
+                    n,
+                    "{case}: tasks_failed_total{{reason={reason}}}"
+                );
+                *seen.entry(reason).or_default() += n;
+            }
+            for (name, key) in [
+                ("stage_rollbacks_total", "rollbacks"),
+                ("stages_completed_total", "stages"),
+                ("jobs_completed_total", "jobs"),
+            ] {
+                assert_eq!(m.counter_value(name, &[]), count(key), "{case}: {name}");
+            }
+            *seen.entry("rollbacks").or_default() += count("rollbacks");
+            assert_eq!(count("jobs"), 1, "{case}: the job completes");
+
+            // Each failed attempt's flight record carries its failure's
+            // label, in log order.
+            let failed: Vec<_> = events
+                .iter()
+                .filter_map(|e| match &e.kind {
+                    EngineEventKind::TaskFailed {
+                        stage,
+                        part,
+                        failure,
+                        ..
+                    } => Some((e.at, stage.0.to_string(), part.to_string(), failure.label())),
+                    _ => None,
+                })
+                .collect();
+            let flight: Vec<_> = obs
+                .flight
+                .snapshot()
+                .into_iter()
+                .filter(|f| f.kind == "task-failed")
+                .collect();
+            assert_eq!(
+                flight.len(),
+                failed.len(),
+                "{case}: one flight record per failure"
+            );
+            for ((at, stage, part, reason), f) in failed.iter().zip(&flight) {
+                let field = |k: &str| {
+                    f.fields
+                        .iter()
+                        .find(|(name, _)| name == k)
+                        .map(|(_, v)| v.as_str())
+                };
+                assert_eq!(f.at, *at, "{case}");
+                assert_eq!(field("stage"), Some(stage.as_str()), "{case}");
+                assert_eq!(field("part"), Some(part.as_str()), "{case}");
+                assert_eq!(field("reason"), Some(*reason), "{case}");
+            }
+        }
+    }
+    for (what, n) in &seen {
+        assert!(*n > 0, "no case reached {what}: {seen:?}");
+    }
 }

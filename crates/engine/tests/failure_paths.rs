@@ -10,7 +10,8 @@ use std::rc::Rc;
 
 use splitserve_des::{Fabric, Sim, SimTime};
 use splitserve_engine::{
-    collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc, JobOutput,
+    collect_partitions, Dataset, Engine, EngineConfig, EngineEventKind, ExecutorDesc,
+    FailureKind, JobOutput,
 };
 use splitserve_obs::Obs;
 use splitserve_storage::{FaultStore, HdfsSpec, HdfsStore, SharedStore, StoreFaults};
@@ -86,9 +87,10 @@ fn injected_fetch_failure_drives_the_fetch_failed_path() {
     assert!(
         events.iter().any(|e| matches!(
             &e.kind,
-            EngineEventKind::TaskFailed { reason, .. } if reason.contains("injected")
+            EngineEventKind::TaskFailed { failure: FailureKind::FetchFailed(err), .. }
+                if err.to_string().contains("injected")
         )),
-        "the failed task carries the injected-fault reason"
+        "the failed task carries the injected store error"
     );
     // A fetch failure pinpoints a lost map output, so even shared-store
     // shuffle must re-run that producer: rollback machinery fires.
@@ -125,9 +127,10 @@ fn injected_write_failure_requeues_without_rollback() {
     assert!(
         events.iter().any(|e| matches!(
             &e.kind,
-            EngineEventKind::TaskFailed { reason, .. } if reason.contains("injected")
+            EngineEventKind::TaskFailed { failure: FailureKind::WriteFailed(err), .. }
+                if err.to_string().contains("injected")
         )),
-        "the failed writer is logged"
+        "the failed writer is logged with the injected store error"
     );
     assert!(
         !events

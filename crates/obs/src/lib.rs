@@ -102,13 +102,6 @@ impl Obs {
             || self.flight.is_enabled()
     }
 
-    /// Convenience: an instant marker on the spans plus a counter bump —
-    /// the shape of "something notable happened once" telemetry.
-    pub fn mark(&self, at: SimTime, lane: &str, track: &str, name: &str) {
-        self.spans.instant(at, lane, track, name);
-        self.metrics.counter_add("obs_marks_total", &[("name", name)], 1);
-    }
-
     /// Records one injected fault of `kind` as
     /// `faults_injected_total{kind}` — the counter the chaos plane bumps
     /// for every kill, drain, straggle, latency window and storage fault
@@ -136,20 +129,10 @@ mod tests {
     fn default_is_disabled() {
         let obs = Obs::default();
         assert!(!obs.is_enabled());
-        obs.mark(SimTime::ZERO, "driver", "driver", "noop");
+        obs.spans.instant(SimTime::ZERO, "driver", "driver", "noop");
+        obs.metrics.counter_add("noop_total", &[], 1);
         assert!(obs.spans.finished_spans().is_empty());
-    }
-
-    #[test]
-    fn enabled_records_marks() {
-        let obs = Obs::enabled();
-        obs.mark(SimTime::from_secs(1), "driver", "driver", "segue");
-        assert_eq!(
-            obs.metrics.counter_value("obs_marks_total", &[("name", "segue")]),
-            1
-        );
-        let trace = obs.spans.to_chrome_trace();
-        assert!(trace.contains("\"segue\""));
+        assert_eq!(obs.metrics.render_prometheus(), "");
     }
 
     #[test]

@@ -213,12 +213,6 @@ impl BytesMut {
         self.vec.capacity()
     }
 
-    /// Unwraps the underlying vector (e.g. to return it to
-    /// [`crate::pool`]).
-    pub fn into_vec(self) -> Vec<u8> {
-        self.vec
-    }
-
     /// Appends one byte.
     pub fn put_u8(&mut self, b: u8) {
         self.vec.push(b);

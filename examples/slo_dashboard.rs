@@ -1,5 +1,5 @@
 //! The SLO dashboard: runs the paper's bursty job stream under both
-//! stream policies (fixed VM pool vs SplitServe's launching facility)
+//! policies (fixed VM pool vs SplitServe's launching facility)
 //! with the full telemetry plane on, and renders what a tenant's
 //! dashboard would show — the SLO-attainment curve, the cumulative-bill
 //! curve, streaming-digest latency quantiles and the windowed task-run
@@ -15,9 +15,11 @@
 
 use std::fmt::Write as _;
 use std::hash::Hasher;
+use std::rc::Rc;
 
 use splitserve::{
-    bursty_arrivals, run_job_stream, DriverProgram, ScenarioSpec, StreamOutcome, StreamPolicy,
+    run_tenant_fleet, DriverProgram, FleetJob, FleetOutcome, FleetPolicy, ScenarioSpec,
+    TenantFleetConfig,
 };
 use splitserve_cloud::{CloudSpec, M4_4XLARGE};
 use splitserve_des::{Dist, Sim};
@@ -47,6 +49,19 @@ impl DriverProgram for BurstLoad {
     }
 }
 
+/// A bursty arrival pattern: `n` 8-core jobs in `waves` clusters over
+/// `window_secs`, each wave's jobs 2 s apart, every job with the same SLO.
+fn bursty_arrivals(n: usize, waves: usize, window_secs: f64, slo_secs: f64) -> Vec<FleetJob> {
+    (0..n)
+        .map(|i| {
+            let wave = i % waves;
+            let within = (i / waves) as f64;
+            let arrive = wave as f64 * (window_secs / waves as f64) + within * 2.0;
+            FleetJob::streamed(i as u64, arrive, 8, slo_secs)
+        })
+        .collect()
+}
+
 fn quantile_block(out: &mut String, obs: &splitserve_obs::SloLedger) {
     let tenant = TenantId::default();
     let _ = write!(out, "\"latency_quantiles\":{{");
@@ -69,15 +84,15 @@ fn quantile_block(out: &mut String, obs: &splitserve_obs::SloLedger) {
     out.push('}');
 }
 
-fn policy_block(out: &mut String, r: &StreamOutcome, obs: &Obs) {
+fn policy_block(out: &mut String, label: &str, r: &FleetOutcome, obs: &Obs) {
     let tenant = TenantId::default();
     let _ = write!(
         out,
         "{{\"policy\":\"{}\",\"jobs\":{},\"slo_attainment\":{:.6},\"cost_usd\":{:.6},\
          \"lambdas_launched\":{},",
-        r.policy,
-        r.jobs.len(),
-        r.slo_attainment(),
+        label,
+        r.outcomes.len(),
+        r.slo.fleet_attainment(),
         r.cost_usd,
         r.lambdas_launched
     );
@@ -142,9 +157,12 @@ fn main() {
     let mut json = String::new();
     let _ = write!(json, "{{\"workers\":{workers},\"jobs\":{},", jobs.len());
     json.push_str("\"policies\":[");
-    for (i, policy) in [StreamPolicy::VmPoolOnly, StreamPolicy::SplitServe]
-        .into_iter()
-        .enumerate()
+    for (i, (policy, label)) in [
+        (FleetPolicy::VmOnly, "vm-pool-only"),
+        (FleetPolicy::SplitServe, "splitserve"),
+    ]
+    .into_iter()
+    .enumerate()
     {
         // Fresh telemetry per policy so curves and rollups don't mix.
         let mut spec = ScenarioSpec {
@@ -159,18 +177,18 @@ fn main() {
         };
         spec.engine.workers = workers;
         let obs = spec.enable_observability();
-        let r = run_job_stream(
-            policy,
-            8,
-            M4_4XLARGE,
-            &spec,
+        let cfg = TenantFleetConfig::open_stream(policy, 8, M4_4XLARGE, &spec);
+        let r = run_tenant_fleet(
+            &cfg,
             &jobs,
-            &|cores| Box::new(BurstLoad { cores }) as Box<dyn DriverProgram>,
+            Rc::new(|j: &FleetJob| {
+                Box::new(BurstLoad { cores: j.cores }) as Box<dyn DriverProgram>
+            }),
         );
         if i > 0 {
             json.push(',');
         }
-        policy_block(&mut json, &r, &obs);
+        policy_block(&mut json, label, &r, &obs);
     }
     json.push_str("]}");
 

@@ -396,7 +396,7 @@ cargo run --release --offline --example slo_dashboard \
     target/slo_dashboard_run2.json >/dev/null
 diff target/slo_dashboard_run1.json target/slo_dashboard_run2.json
 SPLITSERVE_WORKERS=1 cargo run --release --offline --example slo_dashboard \
-    target/slo_dashboard_w1.json >/dev/null
+    target/slo_dashboard_w1.json > target/slo_dashboard_w1.out
 SPLITSERVE_WORKERS=4 cargo run --release --offline --example slo_dashboard \
     target/slo_dashboard_w4.json >/dev/null
 # The artifact embeds the worker count it ran with; normalize that one
@@ -406,6 +406,14 @@ sed 's/"workers":[0-9]*/"workers":N/' target/slo_dashboard_w1.json \
 sed 's/"workers":[0-9]*/"workers":N/' target/slo_dashboard_w4.json \
     > target/slo_dashboard_w4.norm.json
 diff target/slo_dashboard_w1.norm.json target/slo_dashboard_w4.norm.json
+# Pin the workers=1 artifact byte-for-byte: the dashboard drives the
+# fleet API directly, and any drift must be a deliberate pin update.
+grep -q "digest=460304c04d4e696d" target/slo_dashboard_w1.out || {
+    echo "ERROR: slo_dashboard workers=1 digest drifted from 460304c04d4e696d:" >&2
+    cat target/slo_dashboard_w1.out >&2
+    exit 1
+}
+echo "OK: slo_dashboard digest pinned (w1 460304c04d4e696d)"
 python3 -c '
 import json
 
