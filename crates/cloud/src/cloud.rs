@@ -448,11 +448,17 @@ impl Cloud {
     /// Gracefully releases a Lambda: finalizes its bill and parks the
     /// container in the warm pool. Releasing an already-killed container is
     /// a no-op (the kill callback already ran).
+    ///
+    /// A released container can no longer be killed, so its `on_killed`
+    /// hook is dropped here. Hooks typically own a handle to whatever owns
+    /// this cloud; keeping them would hold that owner alive in a cycle
+    /// after the run ends.
     pub fn release_lambda(&self, sim: &mut Sim, id: LambdaId) {
         let kill_event = {
             let mut inner = self.inner.borrow_mut();
             let now = sim.now();
             let lam = &mut inner.lambdas[id.0 as usize];
+            lam.on_killed = None;
             match lam.state {
                 LambdaState::Running => {
                     lam.state = LambdaState::Released;
@@ -760,6 +766,32 @@ mod tests {
         );
         sim.run();
         assert!(sim.now().as_secs_f64() < 900.0);
+    }
+
+    #[test]
+    fn release_drops_the_kill_hook() {
+        // Each case ends with the container unkillable; the hook must be
+        // gone, so the canary it captured is back to its one owner.
+        type End = fn(&Cloud, &mut Sim, LambdaId);
+        let cases: [(&str, u64, End); 3] = [
+            ("release while running", 1, |c, sim, id| c.release_lambda(sim, id)),
+            ("release before start", 0, |c, sim, id| c.release_lambda(sim, id)),
+            ("shutdown_all", 1, |c, sim, _| c.shutdown_all(sim)),
+        ];
+        for (case, run_for, end) in cases {
+            let mut sim = Sim::new(0);
+            let cloud = Cloud::new(quiet_spec(), Fabric::new());
+            let canary = Rc::new(());
+            let held = Rc::clone(&canary);
+            let id = cloud.invoke_lambda(&mut sim, 1_536, |_, _| {}, move |_, _| drop(held));
+            sim.run_until(SimTime::from_secs(run_for));
+            let expect = if run_for > 0 { LambdaState::Running } else { LambdaState::Starting };
+            assert_eq!(cloud.lambda_state(id), expect, "{case}");
+            end(&cloud, &mut sim, id);
+            assert_eq!(cloud.lambda_state(id), LambdaState::Released, "{case}");
+            assert_eq!(Rc::strong_count(&canary), 1, "{case}: kill hook outlived the release");
+            sim.run();
+        }
     }
 
     #[test]

@@ -458,8 +458,11 @@ impl Engine {
     /// running task fails and is re-queued; if the shuffle store is
     /// executor-local, its map outputs are invalidated and the affected
     /// stages roll back.
+    ///
+    /// Killing a draining executor drops its `on_drained` hook unfired: a
+    /// dead executor is never decommissioned, so the hook is unreachable.
     pub fn kill_executor(&self, sim: &mut Sim, id: &ExecutorId) {
-        let killed = {
+        {
             let mut inner = self.inner.borrow_mut();
             let Some(meta) = inner.exec_mut(*id) else {
                 return;
@@ -468,6 +471,7 @@ impl Engine {
                 return;
             }
             meta.alive = false;
+            meta.on_drained = None;
             let running = meta.running.take();
             self.tele.emit(
                 sim.now(),
@@ -485,10 +489,6 @@ impl Engine {
                     }
                 }
             }
-            true
-        };
-        if !killed {
-            return;
         }
         self.store.on_executor_lost(sim, id.as_str());
         if !self.store.survives_executor_loss() {

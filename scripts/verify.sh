@@ -468,6 +468,18 @@ SPLITSERVE_WORKERS=4 cargo run --release --offline --example chaos_smoke \
 diff target/chaos_smoke_w1.txt target/chaos_smoke_w4.txt
 tail -1 target/chaos_smoke_w4.txt
 
+echo "==> reproduce_all --quick: stdout pinned byte-for-byte"
+# The quick paper pass is deterministic; memory or speed work must leave
+# every figure table exactly as it was. Any drift is a deliberate re-pin.
+cargo run --release --offline -p splitserve-bench --bin reproduce_all -- --quick \
+    2>/dev/null > target/reproduce_all_quick.txt
+quick_sha=$(sha256sum target/reproduce_all_quick.txt | cut -d' ' -f1)
+[ "$quick_sha" = "2b2b753b0db85dc0f048662ceef73550cc19741e97df654d0bdcc46c5c65a7f9" ] || {
+    echo "ERROR: reproduce_all --quick stdout drifted (sha256 $quick_sha)" >&2
+    exit 1
+}
+echo "OK: reproduce_all --quick sha256 ${quick_sha:0:16}"
+
 echo "==> checking for non-path dependencies"
 cargo metadata --offline --format-version 1 |
     python3 -c '
